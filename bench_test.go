@@ -1,419 +1,85 @@
-// Benchmarks regenerating every figure of the paper's evaluation chapter
-// (thesis Chapter 6). Each BenchmarkFig* runs the figure's workload under
-// the three concurrency controls the paper compares — SI, Serializable SI
-// and S2PL — as sub-benchmarks, reporting committed transactions per second
-// and the abort breakdown. `go test -bench .` therefore reproduces the
-// paper's qualitative comparisons at one MPL (the machine's parallelism);
-// cmd/ssibench sweeps the full MPL axis and prints the paper-style series.
+// BenchmarkScenario runs every row of the scenario table (internal/figures)
+// under `go test -bench`: the paper's 18 Chapter 6 figures at SI,
+// Serializable SI and S2PL, the scaling mixes and the design ablations, as
+// sub-benchmarks named <scenario>/<isolation>. Each reports committed
+// transactions per second and the abort breakdown at one MPL (8 workers per
+// GOMAXPROCS); cmd/ssibench sweeps the same rows over the full MPL axis.
 //
-// Scale note: the TPC-C++ figures use the paper's data ratios but a reduced
-// warehouse count / initial order count where the paper's full volume (W=10
-// standard scale, 3000 initial orders per district) would dwarf a CI box;
-// cmd/ssibench accepts the full parameters. EXPERIMENTS.md records the
-// mapping and the measured-vs-paper shapes.
+//	go test -bench 'Scenario/^fig6\.1$/' -benchtime=1x -run '^$' .
+//
+// The TPC-C++ figures run at the table's quick scale: the paper's data
+// ratios with a reduced warehouse and initial-order count, where the full
+// volume (W=10, 3000 initial orders per district) would dwarf a CI box.
 package ssi_test
 
 import (
-	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"ssi/internal/figures"
 	"ssi/internal/harness"
-	"ssi/internal/workload/sibench"
-	"ssi/internal/workload/smallbank"
-	"ssi/internal/workload/tpcc"
 	"ssi/ssidb"
 )
 
-// benchFlush is the simulated log flush latency used by the "log flushed on
-// commit" figures. The paper's disks gave ~10ms; a smaller value keeps bench
-// runtimes sane while preserving the I/O-bound regime (group commit visible,
-// throughput rises with concurrency).
-const benchFlush = 500 * time.Microsecond
-
-// runIsolations measures build's workload under SI, SSI and S2PL.
-func runIsolations(b *testing.B, build func(iso ssidb.Isolation) (harness.TxnFunc, func())) {
-	for _, iso := range harness.DefaultIsolations() {
-		iso := iso
-		b.Run(iso.String(), func(b *testing.B) {
-			fn, teardown := build(iso)
-			if teardown != nil {
-				defer teardown()
-			}
-			var commits, deadlocks, conflicts, unsafe, other atomic.Uint64
-			var seed atomic.Int64
-			// The paper's interesting regimes need real multiprogramming;
-			// 8×GOMAXPROCS workers approximates its mid-range MPL even on
-			// small machines (cmd/ssibench sweeps MPL explicitly).
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(seed.Add(1) * 104729))
-				for pb.Next() {
-					switch err := fn(r); {
-					case err == nil:
-						commits.Add(1)
-					case err == ssidb.ErrDeadlock:
-						deadlocks.Add(1)
-					case err == ssidb.ErrWriteConflict:
-						conflicts.Add(1)
-					case err == ssidb.ErrUnsafe:
-						unsafe.Add(1)
-					default:
-						other.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(float64(commits.Load())/secs, "commits/s")
-			}
-			n := float64(b.N)
-			b.ReportMetric(float64(deadlocks.Load())/n, "deadlocks/op")
-			b.ReportMetric(float64(conflicts.Load())/n, "conflicts/op")
-			b.ReportMetric(float64(unsafe.Load())/n, "unsafe/op")
-		})
-	}
-}
-
-// --- SmallBank on the Berkeley DB-style engine (page granularity) ---------
-
-func smallbankBuild(b *testing.B, cfg smallbank.Config, flush time.Duration) func(ssidb.Isolation) (harness.TxnFunc, func()) {
-	return func(iso ssidb.Isolation) (harness.TxnFunc, func()) {
-		db := ssidb.Open(ssidb.Options{
-			Granularity:  ssidb.GranularityPage,
-			PageMaxKeys:  10, // ~100 leaf pages per table at 1000 accounts (§6.1.2)
-			FlushLatency: flush,
-			Detector:     ssidb.DetectorBasic, // the BDB prototype used the basic detector
-		})
-		if err := smallbank.Load(db, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return smallbank.Worker(db, iso, cfg), nil
-	}
-}
-
-// BenchmarkFig6_01_SmallBankNoFlush: short transactions, no log flush,
-// high contention. Paper: Serializable SI ≈ SI, both far above S2PL (10× at
-// MPL 20); unsafe errors dominate the SSI abort mix.
-func BenchmarkFig6_01_SmallBankNoFlush(b *testing.B) {
-	cfg := smallbank.DefaultConfig()
-	runIsolations(b, smallbankBuild(b, cfg, 0))
-}
-
-// BenchmarkFig6_02_SmallBankFlush: commit waits for the (group-committed)
-// log. Paper: the three levels converge at low MPL, S2PL falls behind as
-// deadlocks rise.
-func BenchmarkFig6_02_SmallBankFlush(b *testing.B) {
-	cfg := smallbank.DefaultConfig()
-	runIsolations(b, smallbankBuild(b, cfg, benchFlush))
-}
-
-// BenchmarkFig6_03_SmallBankComplex: ten operations per transaction, log
-// flushed. Paper: shapes match Figure 6.2 — the workload stays I/O-bound.
-func BenchmarkFig6_03_SmallBankComplex(b *testing.B) {
-	cfg := smallbank.DefaultConfig()
-	cfg.OpsPerTxn = 10
-	runIsolations(b, smallbankBuild(b, cfg, benchFlush))
-}
-
-// BenchmarkFig6_04_SmallBankLowContention: 10× the accounts (1/10th the
-// contention). Paper: SI ≈ S2PL; Serializable SI pays 10-15% from page-level
-// false positives.
-func BenchmarkFig6_04_SmallBankLowContention(b *testing.B) {
-	cfg := smallbank.DefaultConfig()
-	cfg.Accounts = 10000
-	runIsolations(b, smallbankBuild(b, cfg, benchFlush))
-}
-
-// BenchmarkFig6_05_SmallBankComplexLow: complex transactions at low
-// contention. Paper: like Figure 6.3 with smaller gaps.
-func BenchmarkFig6_05_SmallBankComplexLow(b *testing.B) {
-	cfg := smallbank.DefaultConfig()
-	cfg.Accounts = 10000
-	cfg.OpsPerTxn = 10
-	runIsolations(b, smallbankBuild(b, cfg, benchFlush))
-}
-
-// --- sibench on the InnoDB-style engine (row granularity) -----------------
-
-func sibenchBuild(b *testing.B, cfg sibench.Config) func(ssidb.Isolation) (harness.TxnFunc, func()) {
-	return func(iso ssidb.Isolation) (harness.TxnFunc, func()) {
-		db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
-		if err := sibench.Load(db, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return sibench.Worker(db, iso, cfg), nil
-	}
-}
-
-// Figures 6.6-6.8: mixed workload (1 query per update), 10/100/1000 items.
-// Paper: SI and Serializable SI stay close; S2PL collapses as queries block
-// updates, worst with many items (long scans hold many locks).
-func BenchmarkFig6_06_SIBench10(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 10, QueriesPerUpdate: 1}))
-}
-
-// BenchmarkFig6_07_SIBench100 is Figure 6.7 (100 items).
-func BenchmarkFig6_07_SIBench100(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 100, QueriesPerUpdate: 1}))
-}
-
-// BenchmarkFig6_08_SIBench1000 is Figure 6.8 (1000 items).
-func BenchmarkFig6_08_SIBench1000(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 1000, QueriesPerUpdate: 1}))
-}
-
-// Figures 6.9-6.11: query-mostly workload (10 queries per update). Paper:
-// differences shrink — reads dominate and all three serve them well, with
-// S2PL still behind at high contention.
-func BenchmarkFig6_09_SIBenchQ10_10(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 10, QueriesPerUpdate: 10}))
-}
-
-// BenchmarkFig6_10_SIBenchQ10_100 is Figure 6.10 (100 items).
-func BenchmarkFig6_10_SIBenchQ10_100(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 100, QueriesPerUpdate: 10}))
-}
-
-// BenchmarkFig6_11_SIBenchQ10_1000 is Figure 6.11 (1000 items).
-func BenchmarkFig6_11_SIBenchQ10_1000(b *testing.B) {
-	runIsolations(b, sibenchBuild(b, sibench.Config{Items: 1000, QueriesPerUpdate: 10}))
-}
-
-// --- TPC-C++ ---------------------------------------------------------------
-
-func tpccBuild(b *testing.B, cfg tpcc.Config) func(ssidb.Isolation) (harness.TxnFunc, func()) {
-	return func(iso ssidb.Isolation) (harness.TxnFunc, func()) {
-		db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
-		if err := tpcc.Load(db, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return tpcc.Worker(db, iso, cfg), nil
-	}
-}
-
-// BenchmarkFig6_12_TPCCW1SkipYTD: one warehouse, standard scaling, year-to-
-// date updates skipped. Paper: Serializable SI tracks SI within ~10%; S2PL
-// lower once contention bites.
-func BenchmarkFig6_12_TPCCW1SkipYTD(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.SkipYTD = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_13_TPCCW10: more warehouses, standard scaling, full updates
-// (the w_ytd hotspot serialises Payments per warehouse). Paper figure uses
-// W=10; W=2 preserves the larger-data-lower-contention shape at CI scale.
-func BenchmarkFig6_13_TPCCW10(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 2
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_14_TPCCW10SkipYTD removes the hotspot from Figure 6.13.
-func BenchmarkFig6_14_TPCCW10SkipYTD(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 2
-	cfg.SkipYTD = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_15_TPCCW10Tiny: tiny scaling (high contention, fully in
-// memory). Paper: larger spread between levels; SSI within ~10% of SI.
-func BenchmarkFig6_15_TPCCW10Tiny(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 10
-	cfg.Tiny = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_16_TPCCTinySkipYTD: tiny scaling without the YTD hotspot.
-func BenchmarkFig6_16_TPCCTinySkipYTD(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 10
-	cfg.Tiny = true
-	cfg.SkipYTD = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_17_StockLevelW10: the Stock Level mix (10 read-heavy Stock
-// Level per New Order), standard scaling. Paper: the multiversion levels
-// beat S2PL decisively — Stock Level's long scans block New Orders under
-// locking.
-func BenchmarkFig6_17_StockLevelW10(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 2
-	cfg.StockLevelMix = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// BenchmarkFig6_18_StockLevelTiny: Stock Level mix at tiny scaling.
-func BenchmarkFig6_18_StockLevelTiny(b *testing.B) {
-	cfg := tpcc.DefaultConfig()
-	cfg.Warehouses = 10
-	cfg.Tiny = true
-	cfg.StockLevelMix = true
-	cfg.InitialOrders = 100
-	runIsolations(b, tpccBuild(b, cfg))
-}
-
-// --- Ablations: the design choices called out in DESIGN.md ----------------
-
-// BenchmarkAblationDetector compares the basic boolean-flag detector (§3.2)
-// with the precise reference detector (§3.6) on SmallBank: same throughput
-// order, fewer unsafe aborts with the precise variant.
-func BenchmarkAblationDetector(b *testing.B) {
-	for _, det := range []ssidb.Detector{ssidb.DetectorBasic, ssidb.DetectorPrecise} {
-		name := map[ssidb.Detector]string{ssidb.DetectorBasic: "basic", ssidb.DetectorPrecise: "precise"}[det]
-		b.Run(name, func(b *testing.B) {
-			cfg := smallbank.DefaultConfig()
-			db := ssidb.Open(ssidb.Options{Detector: det})
-			if err := smallbank.Load(db, cfg); err != nil {
+func BenchmarkScenario(b *testing.B) {
+	for _, s := range figures.All(figures.QuickScale()) {
+		isos := s.Isos
+		if s.Programs != nil {
+			rep, err := s.Report()
+			if err != nil {
 				b.Fatal(err)
 			}
-			fn := smallbank.Worker(db, ssidb.SerializableSI, cfg)
-			var commits, unsafe atomic.Uint64
-			var seed atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(seed.Add(1)))
-				for pb.Next() {
-					switch err := fn(r); {
-					case err == nil:
-						commits.Add(1)
-					case err == ssidb.ErrUnsafe:
-						unsafe.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(commits.Load())/b.Elapsed().Seconds(), "commits/s")
-			b.ReportMetric(float64(unsafe.Load())/float64(b.N), "unsafe/op")
-		})
-	}
-}
-
-// BenchmarkAblationSIReadUpgrade measures §3.7.3: discarding SIREAD locks on
-// upgrade keeps the lock table and suspension lists small.
-func BenchmarkAblationSIReadUpgrade(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "upgrade-on"
-		if disabled {
-			name = "upgrade-off"
+			isos = []ssidb.Isolation{rep.Level}
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := smallbank.DefaultConfig()
-			db := ssidb.Open(ssidb.Options{DisableSIReadUpgrade: disabled, Detector: ssidb.DetectorPrecise})
-			if err := smallbank.Load(db, cfg); err != nil {
-				b.Fatal(err)
-			}
-			fn := smallbank.Worker(db, ssidb.SerializableSI, cfg)
-			var seed atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(seed.Add(1)))
-				for pb.Next() {
-					fn(r)
+		for _, iso := range isos {
+			b.Run(s.Name+"/"+iso.String(), func(b *testing.B) {
+				in, err := s.Open(iso, 0, false)
+				if err != nil {
+					b.Fatal(err)
 				}
+				defer in.Close()
+				var c harness.Counts
+				var seed atomic.Int64
+				var bg sync.WaitGroup
+				var stop atomic.Bool
+				if in.Background != nil {
+					bg.Add(1)
+					go func() {
+						defer bg.Done()
+						r := rand.New(rand.NewSource(1))
+						for !stop.Load() {
+							in.Background(r)
+						}
+					}()
+				}
+				// The paper's interesting regimes need real multiprogramming;
+				// 8×GOMAXPROCS workers approximates its mid-range MPL even on
+				// small machines.
+				b.SetParallelism(8)
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					r := rand.New(rand.NewSource(seed.Add(1) * 104729))
+					for pb.Next() {
+						c.Add(in.Txn(r))
+					}
+				})
+				b.StopTimer()
+				stop.Store(true)
+				bg.Wait()
+				if c.Other > 0 {
+					b.Fatalf("%d transactions failed with unclassified errors", c.Other)
+				}
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(c.Commits)/secs, "commits/s")
+				}
+				n := float64(b.N)
+				b.ReportMetric(float64(c.Deadlocks)/n, "deadlocks/op")
+				b.ReportMetric(float64(c.Conflicts)/n, "conflicts/op")
+				b.ReportMetric(float64(c.Unsafe)/n, "unsafe/op")
+				b.ReportMetric(float64(in.DB.StatsSnapshot().LockedKeys), "locked-keys")
 			})
-			b.StopTimer()
-			st := db.StatsSnapshot()
-			b.ReportMetric(float64(st.LockedKeys), "locked-keys")
-		})
-	}
-}
-
-// BenchmarkAblationMixedSIQueries measures §3.8: running the sibench query
-// side at plain SI while updates stay at Serializable SI removes the
-// queries' SIREAD traffic.
-func BenchmarkAblationMixedSIQueries(b *testing.B) {
-	for _, mixed := range []bool{false, true} {
-		name := "all-ssi"
-		if mixed {
-			name = "queries-at-si"
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := sibench.Config{Items: 100, QueriesPerUpdate: 10}
-			db := ssidb.Open(ssidb.Options{Detector: ssidb.DetectorPrecise})
-			if err := sibench.Load(db, cfg); err != nil {
-				b.Fatal(err)
-			}
-			queryIso := ssidb.SerializableSI
-			if mixed {
-				queryIso = ssidb.SnapshotIsolation
-			}
-			var commits atomic.Uint64
-			var seed atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(seed.Add(1)))
-				for pb.Next() {
-					var err error
-					if r.Intn(cfg.QueriesPerUpdate+1) < cfg.QueriesPerUpdate {
-						err = db.Run(queryIso, func(tx *ssidb.Txn) error {
-							_, qerr := sibench.Query(tx)
-							return qerr
-						})
-					} else {
-						err = db.Run(ssidb.SerializableSI, func(tx *ssidb.Txn) error {
-							return sibench.Update(tx, uint32(r.Intn(cfg.Items)))
-						})
-					}
-					if err == nil {
-						commits.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(commits.Load())/b.Elapsed().Seconds(), "commits/s")
-		})
 	}
 }
-
-// BenchmarkGranularity contrasts the two prototype styles on the same
-// workload: row-level locking (InnoDB) versus page-level (Berkeley DB),
-// which trades lock-manager traffic for false conflicts.
-func BenchmarkGranularity(b *testing.B) {
-	for _, g := range []ssidb.Granularity{ssidb.GranularityRow, ssidb.GranularityPage} {
-		name := "row"
-		if g == ssidb.GranularityPage {
-			name = "page"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := smallbank.DefaultConfig()
-			db := ssidb.Open(ssidb.Options{Granularity: g, PageMaxKeys: 10, Detector: ssidb.DetectorPrecise})
-			if err := smallbank.Load(db, cfg); err != nil {
-				b.Fatal(err)
-			}
-			fn := smallbank.Worker(db, ssidb.SerializableSI, cfg)
-			var commits, aborts atomic.Uint64
-			var seed atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(seed.Add(1)))
-				for pb.Next() {
-					if err := fn(r); err == nil {
-						commits.Add(1)
-					} else {
-						aborts.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(commits.Load())/b.Elapsed().Seconds(), "commits/s")
-			b.ReportMetric(float64(aborts.Load())/float64(b.N), "aborts/op")
-		})
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt for future extension

@@ -7,8 +7,9 @@
 // lock manager, MVCC store, page-structured B+tree, group-commit log — are
 // implemented under internal/. The three benchmarks the paper evaluates
 // (SmallBank, sibench, TPC-C++) live under internal/workload, and every
-// figure of the paper's evaluation chapter has a corresponding benchmark in
-// bench_test.go plus a full-sweep runner in cmd/ssibench.
+// figure of the paper's evaluation chapter is a row of the scenario table in
+// internal/figures, run by BenchmarkScenario in bench_test.go and swept over
+// the full MPL axis by cmd/ssibench.
 //
 // # Scaling beyond the paper
 //
@@ -31,8 +32,8 @@
 //     long a parked request may wait (failing with ErrLockTimeout), and
 //     the wait path is instrumented end to end: ssidb.Stats reports
 //     blocked acquires, spin grants versus parks, targeted wakeups,
-//     timeouts and cumulative wait time (printed by ssibench -scaling
-//     -waitstats).
+//     timeouts and cumulative wait time (printed for every ssibench
+//     cell).
 //   - internal/core replaces the kernel mutex with an atomic clock, a
 //     two-store commit-serialization point, a lock-free SSI conflict core,
 //     and an id-sharded active-transaction registry whose pruning watermark
@@ -105,18 +106,17 @@
 //     in-flight transactions and exits 0. Commits are acknowledged only
 //     after the group-commit fsync, so the kill -9 recovery contract holds
 //     across the network boundary (both re-exec tested). `ssibench
-//     -server addr -connections N` drives it from a separate process and
-//     reports end-to-end p50/p99/p999 tail latency.
+//     -scenario kvmix -server addr -connections N` drives it from a
+//     separate process and reports end-to-end p50/p99/p999 tail latency.
 //
-// The scaling benchmarks (scaling_bench_test.go, `ssibench -scaling` for
-// the lock axis, `ssibench -scaling -storage` for the row-store partition
-// axis, `ssibench -scaling -contention` for the hot-key mix that drives the
-// SSI conflict paths, `ssibench -scaling -scanstall` for full-table scans
-// against point writers with writer commit-latency percentiles, `ssibench
-// -scaling -readonly` for the read-mostly declared-read-only mix) measure
-// commit throughput versus parallelism and shard count, complementing the
-// paper's figures, which measure contention regimes at modest
-// multiprogramming; internal/core's microbenchmarks track the conflict
-// core's per-call cost in isolation, and `ssibench -json` writes every run
-// as a machine-readable BENCH_<name>.json.
+// The scaling rows of the same table (`ssibench -scenario kvmix` for the
+// lock axis, `readheavy` for the row-store partition axis, `hot` for the
+// hot-key mix that drives the SSI conflict paths, `scanstall` for
+// full-table scans against point writers with writer commit-latency
+// percentiles, `readonly` for the read-mostly declared-read-only mix)
+// measure commit throughput versus parallelism and shard count,
+// complementing the paper's figures, which measure contention regimes at
+// modest multiprogramming; internal/core's microbenchmarks track the
+// conflict core's per-call cost in isolation, and `ssibench -json` writes
+// every run as a machine-readable BENCH_<name>.json.
 package ssi

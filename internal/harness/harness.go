@@ -1,19 +1,19 @@
 // Package harness drives the performance experiments of thesis Chapter 6:
 // it runs a workload at a given multiprogramming level (MPL) for a fixed
-// duration, measures committed transactions per second, and breaks aborts
-// down into the classes the paper plots — deadlocks, First-Committer-Wins
-// update conflicts, and Serializable SI "unsafe" errors (Figure 6.1(b) and
-// friends). Sweeps over MPL × isolation level produce the series behind each
-// figure, with 95% confidence intervals over repeated trials.
+// duration, measures committed transactions per second and their latency
+// distribution, and breaks aborts down into the classes the paper plots —
+// deadlocks, First-Committer-Wins update conflicts, and Serializable SI
+// "unsafe" errors (Figure 6.1(b) and friends), with 95% confidence
+// intervals over repeated trials. Run is the one measurement loop every
+// benchmark entry point shares.
 package harness
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,7 +26,8 @@ import (
 // returns its outcome. The supplied rand is private to the calling worker.
 type TxnFunc func(r *rand.Rand) error
 
-// Counts is the per-class outcome tally of one run.
+// Counts is the per-class outcome tally of one run. Add is safe for
+// concurrent use.
 type Counts struct {
 	Commits   uint64
 	Deadlocks uint64 // lock-wait cycles (mostly S2PL)
@@ -37,23 +38,38 @@ type Counts struct {
 	Other     uint64
 }
 
-func (c *Counts) add(err error) {
+// slot returns the counter err is tallied under; wrapped errors classify
+// by errors.Is.
+func (c *Counts) slot(err error) *uint64 {
 	switch {
 	case err == nil:
-		atomic.AddUint64(&c.Commits, 1)
+		return &c.Commits
 	case errors.Is(err, ssidb.ErrDeadlock):
-		atomic.AddUint64(&c.Deadlocks, 1)
+		return &c.Deadlocks
 	case errors.Is(err, ssidb.ErrWriteConflict):
-		atomic.AddUint64(&c.Conflicts, 1)
+		return &c.Conflicts
 	case errors.Is(err, ssidb.ErrUnsafe):
-		atomic.AddUint64(&c.Unsafe, 1)
+		return &c.Unsafe
 	case errors.Is(err, ssidb.ErrLockTimeout):
-		atomic.AddUint64(&c.Timeouts, 1)
+		return &c.Timeouts
 	case errors.Is(err, ErrRollback):
-		atomic.AddUint64(&c.Rollbacks, 1)
+		return &c.Rollbacks
 	default:
-		atomic.AddUint64(&c.Other, 1)
+		return &c.Other
 	}
+}
+
+// Add tallies one transaction outcome.
+func (c *Counts) Add(err error) { atomic.AddUint64(c.slot(err), 1) }
+
+func (c *Counts) merge(o Counts) {
+	c.Commits += o.Commits
+	c.Deadlocks += o.Deadlocks
+	c.Conflicts += o.Conflicts
+	c.Unsafe += o.Unsafe
+	c.Timeouts += o.Timeouts
+	c.Rollbacks += o.Rollbacks
+	c.Other += o.Other
 }
 
 // Aborts is the total number of aborted transactions of all classes.
@@ -65,12 +81,104 @@ func (c Counts) Aborts() uint64 {
 // from concurrency-control aborts, like TPC-C's intentional 1%).
 var ErrRollback = errors.New("harness: application rollback")
 
+// histSubBits sets the histogram resolution: each power of two is split
+// into 2^histSubBits linear buckets, so a bucket is at most 1/16 (6.25%)
+// of its values wide.
+const histSubBits = 4
+
+// Histogram is a fixed log-bucket latency histogram: recording is an index
+// computation and an increment, merging is bucket-wise addition, and the
+// memory is fixed whatever the sample count.
+type Histogram struct {
+	buckets [(64 - histSubBits + 1) << histSubBits]uint64
+	n       uint64
+	sum     time.Duration
+	max     time.Duration
+}
+
+func bucketOf(v uint64) int {
+	if v < 1<<histSubBits {
+		return int(v)
+	}
+	e := bits.Len64(v) - 1
+	return (e-histSubBits+1)<<histSubBits | int(v>>(e-histSubBits)&(1<<histSubBits-1))
+}
+
+// bucketLow is the smallest value bucket i holds.
+func bucketLow(i int) uint64 {
+	if i < 1<<histSubBits {
+		return uint64(i)
+	}
+	e := i>>histSubBits + histSubBits - 1
+	return (1<<histSubBits | uint64(i&(1<<histSubBits-1))) << (e - histSubBits)
+}
+
+// Record adds one latency sample.
+func (h *Histogram) Record(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	h.buckets[bucketOf(uint64(d))]++
+	h.n++
+	h.sum += d
+	h.max = max(h.max, d)
+}
+
+// Merge adds o's samples to h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i, c := range o.buckets {
+		h.buckets[i] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
+}
+
+// Count is the number of samples.
+func (h *Histogram) Count() uint64 { return h.n }
+
+// Mean is the exact mean of the samples (0 with none).
+func (h *Histogram) Mean() time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / time.Duration(h.n)
+}
+
+// Quantile returns the q-quantile (0 < q ≤ 1) as the upper edge of the
+// bucket holding it, capped at the exact maximum: a conservative estimate
+// at most one bucket width high. It is 0 with no samples.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h.n == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(h.n)))
+	rank = max(rank, 1)
+	var seen uint64
+	for i, c := range h.buckets {
+		seen += c
+		if seen >= rank {
+			return min(time.Duration(bucketLow(i+1)-1), h.max)
+		}
+	}
+	return h.max
+}
+
 // Result is one measured cell: a workload at one isolation level and MPL.
 type Result struct {
 	Isolation ssidb.Isolation
 	MPL       int
 	Elapsed   time.Duration
 	Counts
+	// Latency is the distribution of committed transactions' latencies.
+	Latency Histogram
+	// Background and BackgroundLatency tally Options.Background's
+	// transactions the same way; they do not count toward TPS.
+	Background        Counts
+	BackgroundLatency Histogram
+	// Err is the first error the run could not classify (counted in
+	// Other), or nil.
+	Err error
 	// TPS is committed transactions per second.
 	TPS float64
 	// TPSCI95 is the half-width of the 95% confidence interval over trials
@@ -111,12 +219,22 @@ type Options struct {
 	// cumulative engine counters so they can report measured-window deltas
 	// instead of including warmup traffic.
 	OnMeasureStart func()
+	// Setup, if set, is called for each worker before it starts (once per
+	// trial) and returns the TxnFunc that worker runs in place of Run's fn.
+	// The network client uses it to give each worker its own connection.
+	Setup func(worker int) TxnFunc
+	// Background, if set, runs back-to-back on one extra goroutine beside
+	// the MPL workers (a long scanner against point writers, say). Its
+	// outcomes land in Result.Background.
+	Background TxnFunc
 }
 
 // Run measures fn at the configured MPL. Each of the MPL workers loops,
 // executing transactions back-to-back with no think time, exactly as the
 // paper's db_perf setup (§6.1). Aborted transactions are counted and the
 // worker moves on (the retry, if any, is the workload's next iteration).
+// A transaction belongs to the window it started in: one begun during
+// warmup is not counted, and one still running when the window closes is.
 func Run(fn TxnFunc, opts Options) Result {
 	if opts.MPL <= 0 {
 		opts.MPL = 1
@@ -127,50 +245,81 @@ func Run(fn TxnFunc, opts Options) Result {
 	var tpsSamples []float64
 	total := Result{MPL: opts.MPL}
 	for trial := 0; trial < opts.Trials; trial++ {
-		counts, elapsed := runOnce(fn, opts, int64(trial))
-		tps := float64(counts.Commits) / elapsed.Seconds()
-		tpsSamples = append(tpsSamples, tps)
-		total.Commits += counts.Commits
-		total.Deadlocks += counts.Deadlocks
-		total.Conflicts += counts.Conflicts
-		total.Unsafe += counts.Unsafe
-		total.Timeouts += counts.Timeouts
-		total.Rollbacks += counts.Rollbacks
-		total.Other += counts.Other
-		total.Elapsed += elapsed
+		res := runOnce(fn, opts, int64(trial))
+		tpsSamples = append(tpsSamples, float64(res.Commits)/res.Elapsed.Seconds())
+		total.Counts.merge(res.Counts)
+		total.Latency.Merge(&res.Latency)
+		total.Background.merge(res.Background)
+		total.BackgroundLatency.Merge(&res.BackgroundLatency)
+		total.Elapsed += res.Elapsed
+		if total.Err == nil {
+			total.Err = res.Err
+		}
 	}
 	total.TPS = mean(tpsSamples)
 	total.TPSCI95 = ci95(tpsSamples)
 	return total
 }
 
-func runOnce(fn TxnFunc, opts Options, trial int64) (Counts, time.Duration) {
-	var counts Counts
+// tally is one goroutine's private share of a trial.
+type tally struct {
+	counts  Counts
+	latency Histogram
+	err     error
+	_       [64]byte // keeps neighbouring goroutines' hot fields off one cache line
+}
+
+func runOnce(fn TxnFunc, opts Options, trial int64) Result {
 	var measuring atomic.Bool
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+
+	loop := func(fn TxnFunc, r *rand.Rand, t *tally) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			in := measuring.Load()
+			var start time.Time
+			if in {
+				start = time.Now()
+			}
+			err := fn(r)
+			if !in {
+				continue
+			}
+			p := t.counts.slot(err)
+			*p++
+			switch {
+			case err == nil:
+				t.latency.Record(time.Since(start))
+			case p == &t.counts.Other && t.err == nil:
+				t.err = err
+			}
+		}
+	}
 
 	measuring.Store(opts.Warmup == 0)
 	if opts.Warmup == 0 && opts.OnMeasureStart != nil {
 		opts.OnMeasureStart()
 	}
+	seed := opts.Seed + trial*1000003
+	tallies := make([]tally, opts.MPL+1)
 	for w := 0; w < opts.MPL; w++ {
+		wfn := fn
+		if opts.Setup != nil {
+			wfn = opts.Setup(w)
+		}
 		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(opts.Seed + trial*1000003 + int64(w)*7919 + 1))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				err := fn(r)
-				if measuring.Load() {
-					counts.add(err)
-				}
-			}
-		}(w)
+		go loop(wfn, rand.New(rand.NewSource(seed+int64(w)*7919+1)), &tallies[w])
+	}
+	bg := &tallies[opts.MPL]
+	if opts.Background != nil {
+		wg.Add(1)
+		go loop(opts.Background, rand.New(rand.NewSource(seed-1)), bg)
 	}
 	if opts.Warmup > 0 {
 		time.Sleep(opts.Warmup)
@@ -181,10 +330,24 @@ func runOnce(fn TxnFunc, opts Options, trial int64) (Counts, time.Duration) {
 	}
 	start := time.Now()
 	time.Sleep(opts.Duration)
-	elapsed := time.Since(start)
+	measuring.Store(false)
+	res := Result{Elapsed: time.Since(start)}
 	close(stop)
 	wg.Wait()
-	return counts, elapsed
+	for i := range tallies[:opts.MPL] {
+		t := &tallies[i]
+		res.Counts.merge(t.counts)
+		res.Latency.Merge(&t.latency)
+		if res.Err == nil {
+			res.Err = t.err
+		}
+	}
+	res.Background = bg.counts
+	res.BackgroundLatency = bg.latency
+	if res.Err == nil {
+		res.Err = bg.err
+	}
+	return res
 }
 
 func mean(xs []float64) float64 {
@@ -214,107 +377,9 @@ func ci95(xs []float64) float64 {
 	return 1.96 * sd / math.Sqrt(float64(n))
 }
 
-// Figure describes one paper figure: a workload measured across isolation
-// levels and MPLs. Build must return a fresh TxnFunc bound to a database
-// loaded for the given isolation level; it is called once per isolation.
-type Figure struct {
-	ID          string
-	Title       string
-	Isolations  []ssidb.Isolation
-	MPLs        []int
-	Build       func(iso ssidb.Isolation) (TxnFunc, func())
-	PaperResult string // the qualitative shape the paper reports
-}
-
 // DefaultIsolations is the paper's standard comparison set.
 func DefaultIsolations() []ssidb.Isolation {
 	return []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.SerializableSI, ssidb.S2PL}
-}
-
-// RunFigure sweeps the figure and returns results indexed [isolation][mpl].
-func RunFigure(f Figure, opts Options) map[ssidb.Isolation][]Result {
-	out := make(map[ssidb.Isolation][]Result)
-	for _, iso := range f.Isolations {
-		fn, teardown := f.Build(iso)
-		for _, mpl := range f.MPLs {
-			o := opts
-			o.MPL = mpl
-			res := Run(fn, o)
-			res.Isolation = iso
-			out[iso] = append(out[iso], res)
-		}
-		if teardown != nil {
-			teardown()
-		}
-	}
-	return out
-}
-
-// PrintFigure renders the sweep as the paper-style table: throughput per
-// isolation level by MPL, followed by the abort breakdown.
-func PrintFigure(w io.Writer, f Figure, results map[ssidb.Isolation][]Result) {
-	fmt.Fprintf(w, "== Figure %s: %s ==\n", f.ID, f.Title)
-	if f.PaperResult != "" {
-		fmt.Fprintf(w, "   paper: %s\n", f.PaperResult)
-	}
-	isos := append([]ssidb.Isolation(nil), f.Isolations...)
-	sort.Slice(isos, func(i, j int) bool { return isos[i] < isos[j] })
-
-	fmt.Fprintf(w, "%-6s", "MPL")
-	for _, iso := range isos {
-		fmt.Fprintf(w, "%14s", iso.String()+" tps")
-	}
-	fmt.Fprintln(w)
-	for i, mpl := range f.MPLs {
-		fmt.Fprintf(w, "%-6d", mpl)
-		for _, iso := range isos {
-			r := results[iso][i]
-			cell := fmt.Sprintf("%.0f", r.TPS)
-			if r.TPSCI95 > 0 {
-				cell += fmt.Sprintf("±%.0f", r.TPSCI95)
-			}
-			fmt.Fprintf(w, "%14s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-6s", "errors")
-	for range isos {
-		fmt.Fprintf(w, "%14s", "dl/cf/us per C")
-	}
-	fmt.Fprintln(w)
-	for i, mpl := range f.MPLs {
-		fmt.Fprintf(w, "%-6d", mpl)
-		for _, iso := range isos {
-			r := results[iso][i]
-			fmt.Fprintf(w, "%14s", fmt.Sprintf("%s/%s/%s",
-				pct(r.ErrRate("deadlock")), pct(r.ErrRate("conflict")), pct(r.ErrRate("unsafe"))))
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w)
-}
-
-func pct(x float64) string {
-	switch {
-	case x == 0:
-		return "0"
-	case x < 0.0095:
-		return fmt.Sprintf("%.1f%%", x*100)
-	default:
-		return fmt.Sprintf("%.0f%%", x*100)
-	}
-}
-
-// CSV writes the sweep in machine-readable form.
-func CSV(w io.Writer, f Figure, results map[ssidb.Isolation][]Result) {
-	fmt.Fprintf(w, "figure,isolation,mpl,tps,ci95,commits,deadlocks,conflicts,unsafe,rollbacks,other\n")
-	for _, iso := range f.Isolations {
-		for i, mpl := range f.MPLs {
-			r := results[iso][i]
-			fmt.Fprintf(w, "%s,%s,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d\n",
-				f.ID, iso, mpl, r.TPS, r.TPSCI95, r.Commits, r.Deadlocks, r.Conflicts, r.Unsafe, r.Rollbacks, r.Other)
-		}
-	}
 }
 
 // Describe summarises one result line for logs.

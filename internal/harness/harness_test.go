@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,12 +13,12 @@ import (
 
 func TestCountsClassification(t *testing.T) {
 	var c Counts
-	c.add(nil)
-	c.add(ssidb.ErrDeadlock)
-	c.add(ssidb.ErrWriteConflict)
-	c.add(ssidb.ErrUnsafe)
-	c.add(ErrRollback)
-	c.add(errors.New("something else"))
+	c.Add(nil)
+	c.Add(ssidb.ErrDeadlock)
+	c.Add(ssidb.ErrWriteConflict)
+	c.Add(ssidb.ErrUnsafe)
+	c.Add(ErrRollback)
+	c.Add(errors.New("something else"))
 	if c.Commits != 1 || c.Deadlocks != 1 || c.Conflicts != 1 || c.Unsafe != 1 || c.Rollbacks != 1 || c.Other != 1 {
 		t.Fatalf("classification wrong: %+v", c)
 	}
@@ -26,7 +27,7 @@ func TestCountsClassification(t *testing.T) {
 	}
 	// Wrapped errors classify by errors.Is.
 	var c2 Counts
-	c2.add(errors.Join(errors.New("ctx"), ssidb.ErrUnsafe))
+	c2.Add(errors.Join(errors.New("ctx"), ssidb.ErrUnsafe))
 	if c2.Unsafe != 1 {
 		t.Fatalf("wrapped unsafe not classified: %+v", c2)
 	}
@@ -118,29 +119,75 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestRunFigureShape(t *testing.T) {
-	builds := 0
-	f := Figure{
-		ID: "t", Title: "test",
-		Isolations: []ssidb.Isolation{ssidb.SnapshotIsolation, ssidb.S2PL},
-		MPLs:       []int{1, 2},
-		Build: func(iso ssidb.Isolation) (TxnFunc, func()) {
-			builds++
-			return func(r *rand.Rand) error { return nil }, nil
-		},
+func TestHistogramQuantiles(t *testing.T) {
+	var h Histogram
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+		t.Fatal("empty histogram must report zeros")
 	}
-	res := RunFigure(f, Options{Duration: 5 * time.Millisecond})
-	if builds != 2 {
-		t.Fatalf("Build called %d times, want once per isolation", builds)
+	for i := 1; i <= 1000; i++ {
+		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	for _, iso := range f.Isolations {
-		if len(res[iso]) != 2 {
-			t.Fatalf("results for %v: %d cells", iso, len(res[iso]))
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.5, 500 * time.Microsecond}, {0.99, 990 * time.Microsecond}, {1, 1000 * time.Microsecond}} {
+		got := h.Quantile(c.q)
+		// Conservative: never below the exact quantile, at most one bucket
+		// (1/16 of the value) above it.
+		if got < c.want || got > c.want+c.want/16 {
+			t.Fatalf("q%.2f = %v, want %v..%v", c.q, got, c.want, c.want+c.want/16)
 		}
-		for i, r := range res[iso] {
-			if r.MPL != f.MPLs[i] || r.Isolation != iso {
-				t.Fatalf("cell mismatch: %+v", r)
+	}
+	if h.Mean() != 500500*time.Nanosecond || h.Count() != 1000 {
+		t.Fatalf("mean %v count %d", h.Mean(), h.Count())
+	}
+	var m Histogram
+	m.Record(5 * time.Second)
+	m.Merge(&h)
+	if m.Count() != 1001 || m.Quantile(1) != 5*time.Second {
+		t.Fatalf("merge: count %d max %v", m.Count(), m.Quantile(1))
+	}
+	// Bucket edges round-trip for every bucket.
+	for i := 0; i < len(h.buckets)-1; i++ {
+		if lo := bucketLow(i); bucketOf(lo) != i || bucketOf(bucketLow(i+1)-1) != i {
+			t.Fatalf("bucket %d: low %d maps to %d", i, lo, bucketOf(lo))
+		}
+	}
+}
+
+func TestRunSetupAndBackground(t *testing.T) {
+	var setups atomic.Int32
+	var bg atomic.Int64
+	res := Run(nil, Options{
+		MPL:      3,
+		Duration: 20 * time.Millisecond,
+		Setup: func(w int) TxnFunc {
+			setups.Add(1)
+			return func(r *rand.Rand) error {
+				if w == 2 {
+					return errors.New("worker 2 broke")
+				}
+				time.Sleep(100 * time.Microsecond)
+				return nil
 			}
-		}
+		},
+		Background: func(r *rand.Rand) error {
+			bg.Add(1)
+			time.Sleep(time.Millisecond)
+			return nil
+		},
+	})
+	if setups.Load() != 3 {
+		t.Fatalf("Setup called %d times, want once per worker", setups.Load())
+	}
+	if res.Commits == 0 || res.Other == 0 || res.Err == nil || res.Err.Error() != "worker 2 broke" {
+		t.Fatalf("res = %s err=%v", Describe(res), res.Err)
+	}
+	if res.Latency.Count() != res.Commits || res.Latency.Quantile(0.5) < 100*time.Microsecond {
+		t.Fatalf("latency: %d samples for %d commits, p50 %v", res.Latency.Count(), res.Commits, res.Latency.Quantile(0.5))
+	}
+	if res.Background.Commits == 0 || res.Background.Commits > uint64(bg.Load()) ||
+		res.BackgroundLatency.Mean() < time.Millisecond {
+		t.Fatalf("background: %+v of %d, mean %v", res.Background, bg.Load(), res.BackgroundLatency.Mean())
 	}
 }

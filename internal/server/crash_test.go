@@ -53,8 +53,11 @@ func TestServerChild(t *testing.T) {
 
 // startChildServer re-execs the test binary as an ssiserver on dir and
 // returns the command, its address (scanned from the LISTENING readiness
-// line), and a function that collects the rest of the child's output.
-func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() string) {
+// line), and a function that waits for the child to exit and returns the
+// rest of its output with the exit error. That function reads the stdout
+// pipe to EOF before calling cmd.Wait: Wait closes the pipe, so calling it
+// first could drop the child's last lines.
+func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() (string, error)) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestServerChild$", "-test.v")
 	cmd.Env = append(os.Environ(), "SSISERVER_TEST_DIR="+dir)
@@ -96,11 +99,12 @@ func startChildServer(t *testing.T, dir string) (*exec.Cmd, string, func() strin
 			mu.Unlock()
 		}
 	}()
-	return cmd, addr, func() string {
+	return cmd, addr, func() (string, error) {
 		<-done
+		err := cmd.Wait()
 		mu.Lock()
 		defer mu.Unlock()
-		return rest.String()
+		return rest.String(), err
 	}
 }
 
@@ -115,7 +119,7 @@ func TestSIGTERMDrainExitsClean(t *testing.T) {
 		t.Skip("re-exec drain test")
 	}
 	dir := t.TempDir()
-	cmd, addr, output := startChildServer(t, dir)
+	cmd, addr, wait := startChildServer(t, dir)
 	defer func() {
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -158,10 +162,10 @@ func TestSIGTERMDrainExitsClean(t *testing.T) {
 		t.Fatalf("in-flight commit during drain: %v", err)
 	}
 
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("ssiserver did not exit 0 after SIGTERM: %v\n%s", err, output())
+	tail, err := wait()
+	if err != nil {
+		t.Fatalf("ssiserver did not exit 0 after SIGTERM: %v\n%s", err, tail)
 	}
-	tail := output()
 	if !strings.Contains(tail, "draining") || !strings.Contains(tail, "ssiserver: STOPPED") {
 		t.Fatalf("missing drain/stop lines in child output:\n%s", tail)
 	}

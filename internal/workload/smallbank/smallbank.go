@@ -81,14 +81,7 @@ func Load(db *ssidb.DB, cfg Config) error {
 		}
 		err := db.Run(ssidb.SnapshotIsolation, func(tx *ssidb.Txn) error {
 			for i := lo; i < hi; i++ {
-				id := u32(uint32(i))
-				if err := tx.Put(TableAccount, Name(i), id); err != nil {
-					return err
-				}
-				if err := tx.Put(TableSaving, id, i64(cfg.InitialBalance)); err != nil {
-					return err
-				}
-				if err := tx.Put(TableChecking, id, i64(cfg.InitialBalance)); err != nil {
+				if err := LoadCustomer(tx, i, cfg); err != nil {
 					return err
 				}
 			}
@@ -99,6 +92,20 @@ func Load(db *ssidb.DB, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// LoadCustomer writes customer i's account, saving and checking rows
+// through tx. Load calls it for every customer; a network client calls it
+// through a Tx that batches the writes into one request.
+func LoadCustomer(tx Tx, i int, cfg Config) error {
+	id := u32(uint32(i))
+	if err := tx.Put(TableAccount, Name(i), id); err != nil {
+		return err
+	}
+	if err := tx.Put(TableSaving, id, i64(cfg.InitialBalance)); err != nil {
+		return err
+	}
+	return tx.Put(TableChecking, id, i64(cfg.InitialBalance))
 }
 
 // lookup resolves a customer name to the id key (every SmallBank program

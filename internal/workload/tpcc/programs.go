@@ -23,8 +23,9 @@ import (
 // both write, PAY on the balance rows), and the only vulnerable edges leave
 // the read-only queries OSTAT and SLEV, which can never be pivots. So plain
 // TPC-C runs at plain SI — the thesis's point that SSI's overhead is pure
-// waste here, which ssibench -tpcc -programs prices. (sdg.TPCC stays the
-// thesis-faithful Figure 2.8 set; this one is the engine-facing superset.)
+// waste here, which ssibench -scenario tpcc,tpcc-programs prices. (sdg.TPCC
+// stays the thesis-faithful Figure 2.8 set; this one is the engine-facing
+// superset.)
 //
 // TPC-C++ (CreditCheck) is deliberately absent: adding CCHECK makes NEWO and
 // CCHECK pivots (Figure 5.3) and the set would run at SSI — or under

@@ -12,7 +12,7 @@ import (
 
 // The runtime program set — the Figure 2.8 analysis extended with the merged
 // Delivery and this implementation's index tables — must stay robust: that is
-// the proof ssibench -tpcc -programs rides to run TPC-C at plain SI.
+// the proof the tpcc-programs scenario rides to run TPC-C at plain SI.
 func TestRuntimeProgramsRobust(t *testing.T) {
 	g := sdg.New(Programs()...)
 	if ds := g.DangerousStructures(); len(ds) != 0 {

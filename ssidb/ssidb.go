@@ -739,9 +739,6 @@ type Stats struct {
 	SuspendedTxns int
 	LockedKeys    int
 	LockOwners    int
-	// LogFlushes is the physical WAL sync count — kept as an alias of
-	// Fsyncs for continuity with earlier versions.
-	LogFlushes uint64
 
 	// Write-ahead log / durability instrumentation, cumulative since Open
 	// (zero for in-memory databases with no simulated flush latency).
@@ -847,11 +844,11 @@ func (db *DB) StatsSnapshot() Stats {
 		FootprintViolations: db.footprintViolations.Load(),
 		SDGEscalations:      db.sdgEscalations.Load(),
 		SDGEscalated:        db.sdgEscalated.Load(),
-		ActiveTxns:       cs.Active,
-		SuspendedTxns:    cs.Suspended,
-		LockedKeys:       ls.Keys,
-		LockOwners:       ls.Owners,
-		LogFlushes:       ws.Fsyncs,
+
+		ActiveTxns:    cs.Active,
+		SuspendedTxns: cs.Suspended,
+		LockedKeys:    ls.Keys,
+		LockOwners:    ls.Owners,
 
 		WALAppends:         ws.Appends,
 		GroupCommitBatches: ws.Batches,
