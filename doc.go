@@ -88,9 +88,17 @@
 //     point the reader drops SIREAD acquisition entirely, point and scan,
 //     and reads at plain-SI cost while staying serializable. A positive
 //     verdict is permanently sound for its holder, so the check is a
-//     handful of atomic loads until the first yes, then a cached boolean;
-//     TxnOptions.Deferrable blocks begin until it holds (PostgreSQL's
-//     DEFERRABLE contract).
+//     handful of atomic loads until the first yes, which rewrites the
+//     transaction's access record once (its read-lock mode drops from
+//     SIREAD to none); TxnOptions.Deferrable blocks begin until it holds
+//     (PostgreSQL's DEFERRABLE contract).
+//   - Every ssidb.Txn operation follows from that access record, set at
+//     begin: the lock a read takes (SIREAD for SSI, Shared for S2PL, none
+//     for SI and safe snapshots) decides snapshot-versus-latest reads,
+//     conflict marking, next-key gap locking on inserts and deletes and
+//     First-Committer-Wins, and one locker maps a request onto a row or a
+//     root-to-leaf page path, so the read and write paths branch on the
+//     record alone.
 //   - internal/server and cmd/ssiserver put a network front end on all of
 //     it: a TCP server speaking a length-prefixed framed protocol with one
 //     pipelined session goroutine per connection, a batched transaction

@@ -262,9 +262,6 @@ type Options struct {
 	// a transaction's SIREAD lock once it acquires EXCLUSIVE on the same
 	// key. Used by ablation benchmarks.
 	DisableSIReadUpgrade bool
-	// DisableEarlyAbort turns off the §3.7.1 optimisation that aborts an
-	// unsafe pivot at its next operation instead of waiting for commit.
-	DisableEarlyAbort bool
 	// Recorder, if set, receives the full operation history.
 	Recorder Recorder
 }
@@ -525,7 +522,7 @@ func (db *DB) beginTx(iso Isolation, opts TxnOptions) *Txn {
 	if r := db.opts.Recorder; r != nil {
 		r.RecBegin(t.ID(), iso.String())
 	}
-	return &Txn{db: db, t: t, ro: opts.ReadOnly}
+	return &Txn{db: db, t: t, ro: opts.ReadOnly, acc: db.access(iso, false)}
 }
 
 // BeginReadOnly starts a transaction declared read-only at the given
@@ -550,7 +547,7 @@ func (db *DB) beginDeferred(iso Isolation) *Txn {
 					r.RecBegin(t.ID(), iso.String())
 				}
 				db.roPromotions.Add(1)
-				return &Txn{db: db, t: t, ro: true, roSafe: true}
+				return &Txn{db: db, t: t, ro: true, acc: db.access(iso, true)}
 			}
 			if db.mgr.ThreatHorizon() > s {
 				break // doomed: a threat committed above s, retry fresh

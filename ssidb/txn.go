@@ -1,9 +1,36 @@
 package ssidb
 
+// Every operation of a transaction follows from its access record, fixed at
+// begin. The record's core is the lock a read takes; the rest of the
+// protocol follows from that mode and the level, the way Berenson et al.
+// define each isolation level by the locks its reads and writes take:
+//
+//	level          read lock  reads see  rw-edges  FCW  insert/delete (row)
+//	SI             none       snapshot   -         yes  -
+//	SSI            SIREAD     snapshot   marked    yes  EXCLUSIVE gap lock
+//	safe snapshot  none       snapshot   -         -    (read-only)
+//	S2PL           Shared     latest     -         -    EXCLUSIVE gap lock
+//
+// Writes take EXCLUSIVE at every level; a transaction declared read-only
+// never reaches the write path. SSI marks an rw-edge from a read to each
+// concurrent newer writer or EXCLUSIVE holder (Figure 3.4) and from each
+// SIREAD holder to a write (Figure 3.5). A scan takes the read lock on every
+// row it visits and on the gap before it, plus the gap at its boundary (the
+// supremum when it runs off the table's end).
+//
+// Page granularity covers pages instead of rows and gaps: a point access
+// locks its root-to-leaf path, the interior pages in the read mode and the
+// leaf in the access's own mode, and a write that splits the leaf locks the
+// whole path EXCLUSIVE; a scan locks its descent paths and every leaf it
+// reads. First-Committer-Wins then compares page stamps.
+//
+// A declared read-only SSI transaction begins with SIREAD and drops it once,
+// when its snapshot is found safe (readLock); a deferrable begin starts safe.
+
 import (
 	"bytes"
 	"errors"
-	"math"
+	"slices"
 
 	"ssi/internal/core"
 	"ssi/internal/lock"
@@ -16,6 +43,7 @@ import (
 type Txn struct {
 	db     *DB
 	t      *core.Txn
+	acc    access
 	writes []writeRec
 	done   bool
 
@@ -36,12 +64,8 @@ type Txn struct {
 	lockKeys []lock.Key
 
 	// ro marks a transaction declared read-only at begin; writes on it fail
-	// with ErrReadOnly. roSafe caches a positive SnapshotSafe verdict — a
-	// verdict is permanently sound for the holder — so once set the SSI
-	// read paths skip SIREAD acquisition and conflict marking for the rest
-	// of the transaction.
-	ro     bool
-	roSafe bool
+	// with ErrReadOnly.
+	ro bool
 
 	// prog, when non-nil, marks a program transaction (BeginProgram): every
 	// access is checked against the program's declared table footprint, and
@@ -51,6 +75,27 @@ type Txn struct {
 	prog        *registeredProgram
 	progSIToken bool
 	adhocToken  bool
+}
+
+// access is a transaction's access record (see the table above).
+type access struct {
+	read lock.Mode // lock.SIRead (SSI), lock.Shared (S2PL), 0 (SI, safe snapshot)
+	safe bool      // a safe snapshot: serializable without SIREAD locks
+	page bool      // GranularityPage
+}
+
+// access builds the record for a transaction beginning at iso; safe starts
+// a declared read-only SSI transaction on a snapshot already found safe.
+func (db *DB) access(iso Isolation, safe bool) access {
+	a := access{safe: safe, page: db.opts.Granularity == GranularityPage}
+	switch {
+	case safe:
+	case iso == SerializableSI:
+		a.read = lock.SIRead
+	case iso == S2PL:
+		a.read = lock.Shared
+	}
+	return a
 }
 
 type writeRec struct {
@@ -75,45 +120,35 @@ func (tx *Txn) ReadOnly() bool { return tx.ro }
 // serializable). Deferred begins start promoted; other declared read-only
 // SerializableSI transactions promote mid-flight when their snapshot turns
 // safe.
-func (tx *Txn) SafeSnapshot() bool { return tx.roSafe }
+func (tx *Txn) SafeSnapshot() bool { return tx.acc.safe }
 
-// roFast reports whether the SSI read paths may skip SIREAD acquisition and
-// conflict marking for this operation: the transaction is declared read-only
-// and its snapshot is safe. The verdict is cached — it is permanently sound
-// for this transaction (no still-running or future read-write transaction
-// can commit a structure into the snapshot's past once none could at
-// promotion time) — so the steady state is one boolean load.
-func (tx *Txn) roFast() bool {
-	if !tx.ro {
-		return false
-	}
-	if tx.roSafe {
-		return true
-	}
-	if tx.db.mgr.SnapshotSafe(tx.t) {
-		tx.roSafe = true
+// readLock returns the lock the next read takes. It is also where a
+// declared read-only SSI transaction is promoted: once its snapshot is safe
+// — a verdict that stays sound for the holder, since no read-write
+// transaction can commit a structure into the snapshot's past once none
+// could at promotion time — the record drops SIREAD for good, so the steady
+// state is one field load. The snapshot must already be assigned.
+func (tx *Txn) readLock() lock.Mode {
+	if tx.ro && tx.acc.read == lock.SIRead && tx.db.mgr.SnapshotSafe(tx.t) {
+		tx.acc.read, tx.acc.safe = 0, true
 		tx.db.roPromotions.Add(1)
-		return true
 	}
-	return false
+	return tx.acc.read
 }
 
 // pre guards every operation: it rejects finished transactions and applies
 // the abort-early optimisation of thesis §3.7.1 (an unsafe pivot aborts at
-// its next operation rather than at commit).
+// its next operation rather than at commit; the probe is a status check for
+// levels that track no conflicts).
 func (tx *Txn) pre() error {
 	if tx.done {
 		return ErrTxnDone
 	}
-	if tx.t.Isolation().TracksConflicts() && !tx.db.opts.DisableEarlyAbort {
-		if err := tx.db.mgr.AbortEarly(tx.t); err != nil {
-			if errors.Is(err, ErrTxnDone) {
-				return err
-			}
-			return tx.fail(err)
+	if err := tx.db.mgr.AbortEarly(tx.t); err != nil {
+		if errors.Is(err, ErrTxnDone) {
+			return err
 		}
-	} else if tx.t.Done() {
-		return ErrTxnDone
+		return tx.fail(err)
 	}
 	return nil
 }
@@ -268,6 +303,138 @@ func (tx *Txn) recRead(tb *table, key []byte, creator *core.Txn, readTS core.TS)
 }
 
 // ---------------------------------------------------------------------------
+// Locks
+
+// acquire takes mode on k. The rivals of a SIREAD lock, EXCLUSIVE holders,
+// are marked at once (Figure 3.4). The rivals of an EXCLUSIVE lock, SIREAD
+// holders, are appended to buf for the caller to mark (Figure 3.5). Shared
+// locks have no rivals. buf's backing array, grown or not, becomes the
+// transaction's rivals scratch buffer.
+func (tx *Txn) acquire(k lock.Key, mode lock.Mode, buf []*core.Txn) ([]*core.Txn, error) {
+	n := len(buf)
+	buf, err := tx.db.locks.AcquireInto(tx.t, k, mode, buf)
+	tx.rivals = buf[:0]
+	if err != nil || mode != lock.SIRead {
+		return buf, err
+	}
+	err = tx.markAsReader(buf[n:])
+	return buf[:n], err
+}
+
+// lockCover locks what covers key for an access that reads in mode read
+// and writes in mode write (0 for a read): the row, in the write mode if
+// any; or the root-to-leaf page path, interior pages in the read mode and
+// the leaf in the write mode if any. A structural write that will split the
+// leaf takes the whole path EXCLUSIVE and stamps the interior pages the
+// split rewrites, so page-level FCW and newer-version checks see it (the
+// root-page conflicts of §6.1.5). The path is re-validated after
+// acquisition, since a concurrent split can move the key; locks taken under
+// a stale plan are kept. It returns the EXCLUSIVE rivals and the leaf.
+func (tx *Txn) lockCover(tb *table, key []byte, read, write lock.Mode, structural bool) (rivals []*core.Txn, leaf uint32, err error) {
+	leafMode := write
+	if write == 0 {
+		leafMode = read
+	}
+	if leafMode == 0 {
+		return nil, 0, nil
+	}
+	if !tx.acc.page {
+		rivals, err = tx.acquire(lock.RowKey(tb.name, key), leafMode, tx.rivals[:0])
+		return rivals, 0, err
+	}
+	rivals = tx.rivals[:0]
+	for {
+		path := tb.data.PathPages(key)
+		split := structural && tb.data.InsertWillSplit(key)
+		for i, pg := range path {
+			mode := read
+			if split {
+				mode = lock.Exclusive
+			} else if i == len(path)-1 {
+				mode = leafMode
+			}
+			if mode == 0 {
+				continue
+			}
+			if rivals, err = tx.acquire(lock.PageKey(tb.name, pg), mode, rivals); err != nil {
+				return rivals, 0, err
+			}
+			if split && i < len(path)-1 {
+				tb.data.AddPageWriter(pg, tx.t)
+			}
+		}
+		if slices.Equal(path, tb.data.PathPages(key)) && split == (structural && tb.data.InsertWillSplit(key)) {
+			return rivals, path[len(path)-1], nil
+		}
+	}
+}
+
+// gapKey is the lock on the gap before succ, or on the supremum gap when
+// there is no successor.
+func gapKey(table string, succ []byte, ok bool) lock.Key {
+	if ok {
+		return lock.GapKey(table, succ)
+	}
+	return lock.SupremumGapKey(table)
+}
+
+// gapLock is the writer side of the next-key protocol (Figures 3.6/3.7): an
+// insert or delete takes EXCLUSIVE on the gap before key's successor,
+// retrying until the successor is stable. At SSI the gap's SIREAD holders —
+// concurrent predicate readers — are marked as rw-conflicts.
+func (tx *Txn) gapLock(tb *table, key []byte) error {
+	for {
+		succ, ok := tb.data.Successor(key)
+		rivals, err := tx.acquire(gapKey(tb.name, succ, ok), lock.Exclusive, tx.rivals[:0])
+		if err != nil {
+			return err
+		}
+		if tx.acc.read == lock.SIRead {
+			if err := tx.markAsWriter(rivals); err != nil {
+				return err
+			}
+		}
+		succ2, ok2 := tb.data.Successor(key)
+		if ok == ok2 && (!ok || bytes.Equal(succ, succ2)) {
+			return nil
+		}
+	}
+}
+
+// writeLockAndCheck is the one write-lock step. It takes the write cover
+// of key; then, for snapshot readers, assigns the snapshot — only now, so a
+// first statement that writes never fails First-Committer-Wins (deferred
+// snapshot, §4.5) — marks the SIREAD holders among the rivals at SSI, and
+// applies First-Committer-Wins, per page in page mode. S2PL reads the
+// latest version under its locks and has no snapshot to check. On failure
+// the transaction is aborted.
+func (tx *Txn) writeLockAndCheck(tb *table, key []byte, structural bool) (core.TS, error) {
+	rivals, leaf, err := tx.lockCover(tb, key, tx.acc.read, lock.Exclusive, structural)
+	if err != nil {
+		return 0, tx.fail(err)
+	}
+	if tx.acc.read == lock.Shared {
+		return 0, nil
+	}
+	snap := tx.snapshot()
+	if tx.acc.read == lock.SIRead {
+		if err := tx.markAsWriter(rivals); err != nil {
+			return 0, tx.fail(err)
+		}
+	}
+	var newest core.TS
+	if tx.acc.page {
+		newest = tb.data.PageNewestCommitTS(leaf)
+	} else {
+		newest = tb.data.NewestCommitTS(key)
+	}
+	if newest > snap {
+		return 0, tx.fail(ErrWriteConflict)
+	}
+	return snap, nil
+}
+
+// ---------------------------------------------------------------------------
 // Point reads
 
 // Get reads key from table. Under SI and SerializableSI it reads from the
@@ -282,31 +449,30 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if tx.t.Isolation() == S2PL {
-		return tx.getS2PL(tb, key)
-	}
-	snap := tx.snapshot()
-	ssi := tx.t.Isolation().TracksConflicts()
-	if ssi && tx.roFast() {
-		// Safe-snapshot read-only fast path: the read is serializable
-		// without SIREAD protection, so it proceeds at plain-SI cost.
-		ssi = false
-		tx.db.roSIReadSkips.Add(1)
-	}
-	if ssi {
-		if err := tx.ssiReadLocks(tb, key); err != nil {
+	if tx.acc.read == lock.Shared {
+		if _, _, err := tx.lockCover(tb, key, lock.Shared, 0, false); err != nil {
 			return nil, false, tx.fail(err)
 		}
+		return tx.readLatest(tb, key)
+	}
+	snap := tx.snapshot()
+	mode := tx.readLock()
+	if _, _, err := tx.lockCover(tb, key, mode, 0, false); err != nil {
+		return nil, false, tx.fail(err)
 	}
 	res := tb.data.Read(tx.t, snap, key)
-	if ssi {
+	if mode == lock.SIRead {
+		// Page stamps are read only now that the page's SIREAD lock is held:
+		// a writer of the page either was a lock rival or already stamped.
 		writers := res.NewerWriters
-		if tx.db.opts.Granularity == GranularityPage {
+		if tx.acc.page {
 			writers = tb.data.PageNewerWriters(tb.data.LeafPage(key), snap)
 		}
 		if err := tx.markAsReader(writers); err != nil {
 			return nil, false, tx.fail(err)
 		}
+	} else if tx.acc.safe {
+		tx.db.roSIReadSkips.Add(1)
 	}
 	tx.recRead(tb, key, res.VisibleCreator, snap)
 	if tx.prog != nil && tx.prog.promoted[tableName] && res.Found {
@@ -320,47 +486,9 @@ func (tx *Txn) Get(tableName string, key []byte) (val []byte, found bool, err er
 	return res.Value, res.Found, nil
 }
 
-// ssiReadLocks takes the SIREAD locks for a point read and marks conflicts
-// with concurrent exclusive holders (Figure 3.4 lines 2-4). In page mode the
-// whole root-to-leaf path is read-locked, as Berkeley DB does while
-// descending — the source of the paper's split-induced false positives.
-func (tx *Txn) ssiReadLocks(tb *table, key []byte) error {
-	if tx.db.opts.Granularity == GranularityRow {
-		rivals, err := tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.SIRead, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return err
-		}
-		return tx.markAsReader(rivals)
-	}
-	for {
-		path := tb.data.PathPages(key)
-		for _, pg := range path {
-			rivals, err := tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), lock.SIRead, tx.rivals[:0])
-			tx.rivals = rivals[:0]
-			if err != nil {
-				return err
-			}
-			if err := tx.markAsReader(rivals); err != nil {
-				return err
-			}
-		}
-		if pagesEqual(path, tb.data.PathPages(key)) {
-			return nil
-		}
-	}
-}
-
-// getS2PL shared-locks the row (or the page path) and reads the latest
-// committed version.
-func (tx *Txn) getS2PL(tb *table, key []byte) ([]byte, bool, error) {
-	if tx.db.opts.Granularity == GranularityRow {
-		if _, err := tx.db.locks.Acquire(tx.t, lock.RowKey(tb.name, key), lock.Shared); err != nil {
-			return nil, false, tx.fail(err)
-		}
-	} else if err := tx.lockPagePathS2PL(tb, key, lock.Shared, false); err != nil {
-		return nil, false, tx.fail(err)
-	}
+// readLatest reads the latest committed version of key (or this
+// transaction's own) under a lock already held on it.
+func (tx *Txn) readLatest(tb *table, key []byte) ([]byte, bool, error) {
 	readTS := tx.db.mgr.Now()
 	val, found, creator := tb.data.ReadLatest(tx.t, key)
 	tx.recRead(tb, key, creator, readTS)
@@ -391,22 +519,10 @@ func (tx *Txn) GetForUpdate(tableName string, key []byte) (val []byte, found boo
 		return nil, false, err
 	}
 	tb := tx.db.table(tableName)
-	if tx.t.Isolation() == S2PL {
-		if err := tx.s2plWriteLock(tb, key, false); err != nil {
-			return nil, false, tx.fail(err)
-		}
-		readTS := tx.db.mgr.Now()
-		v, ok, creator := tb.data.ReadLatest(tx.t, key)
-		tx.recRead(tb, key, creator, readTS)
-		return v, ok, nil
-	}
 	if _, err := tx.writeLockAndCheck(tb, key, false); err != nil {
 		return nil, false, err
 	}
-	readTS := tx.db.mgr.Now()
-	v, ok, creator := tb.data.ReadLatest(tx.t, key)
-	tx.recRead(tb, key, creator, readTS)
-	return v, ok, nil
+	return tx.readLatest(tb, key)
 }
 
 // ---------------------------------------------------------------------------
@@ -446,38 +562,27 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	}
 	tb := tx.db.table(tableName)
 	structural := tombstone || mustNotExist || !tb.data.Exists(key)
-
-	if tx.t.Isolation() == S2PL {
-		if structural && tx.db.opts.Granularity == GranularityRow {
-			if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
-				return tx.fail(err)
-			}
-		}
-		if err := tx.s2plWriteLock(tb, key, structural); err != nil {
+	// Figure 3.7: at SSI and S2PL, row-mode inserts and deletes lock the gap
+	// before the next key, which detects (SSI) or blocks (S2PL) concurrent
+	// predicate readers.
+	gaps := tx.acc.read != 0 && !tx.acc.page
+	if structural && gaps {
+		if err := tx.gapLock(tb, key); err != nil {
 			return tx.fail(err)
 		}
-	} else {
-		ssi := tx.t.Isolation().TracksConflicts()
-		if structural && ssi && tx.db.opts.Granularity == GranularityRow {
-			// Figure 3.7: inserts and deletes exclusively lock the gap
-			// before the next key and mark conflicts with SIREAD gap
-			// holders (concurrent predicate reads).
-			if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
-				return tx.fail(err)
-			}
-		}
-		snap, err := tx.writeLockAndCheck(tb, key, structural)
-		if err != nil {
-			return err
-		}
-		if mustNotExist {
-			if res := tb.data.Read(tx.t, snap, key); res.Found {
-				return ErrKeyExists
-			}
-		}
 	}
-	if mustNotExist && tx.t.Isolation() == S2PL {
-		if _, ok, _ := tb.data.ReadLatest(tx.t, key); ok {
+	snap, err := tx.writeLockAndCheck(tb, key, structural)
+	if err != nil {
+		return err
+	}
+	if mustNotExist {
+		var found bool
+		if tx.acc.read == lock.Shared {
+			_, found, _ = tb.data.ReadLatest(tx.t, key)
+		} else {
+			found = tb.data.Read(tx.t, snap, key).Found
+		}
+		if found {
 			return ErrKeyExists
 		}
 	}
@@ -487,13 +592,9 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	// with the key becoming visible — otherwise a second insert into the
 	// now-split gap would escape the scanners' phantom detection.
 	var onInsert func(succ []byte, hasSucc bool)
-	if tx.db.opts.Granularity == GranularityRow {
+	if !tx.acc.page {
 		onInsert = func(succ []byte, hasSucc bool) {
-			src := lock.SupremumGapKey(tb.name)
-			if hasSucc {
-				src = lock.GapKey(tb.name, succ)
-			}
-			tx.db.locks.InheritSIRead(src, lock.GapKey(tb.name, key))
+			tx.db.locks.InheritSIRead(gapKey(tb.name, succ, hasSucc), lock.GapKey(tb.name, key))
 		}
 	}
 	inserted, _, _ := tb.data.Write(tx.t, key, val, tombstone, onInsert)
@@ -501,14 +602,14 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 	if tx.db.log != nil {
 		tx.redo = appendRedoEntry(tx.redo, tb.name, key, val, tombstone)
 	}
-	if tx.db.opts.Granularity == GranularityPage {
+	if tx.acc.page {
 		tb.data.AddPageWriter(tb.data.LeafPage(key), tx.t)
 	}
-	if inserted && tx.db.opts.Granularity == GranularityRow && tx.t.Isolation() != SnapshotIsolation {
+	if inserted && gaps {
 		// Re-acquire the gap now that the key is visible: the successor may
 		// have changed between planning and insertion, and inherited SIREAD
 		// holders on the true gap must be marked as conflicts.
-		if err := tx.gapLocks(tb, key, lock.Exclusive); err != nil {
+		if err := tx.gapLock(tb, key); err != nil {
 			return tx.fail(err)
 		}
 	}
@@ -516,167 +617,6 @@ func (tx *Txn) write(tableName string, key, val []byte, tombstone, mustNotExist 
 		r.RecWrite(tx.t.ID(), tb.name, string(key), tombstone)
 	}
 	return nil
-}
-
-// writeLockAndCheck acquires the exclusive lock(s) for writing key under
-// SI/SerializableSI, assigns the snapshot afterwards (deferred snapshot),
-// marks rw-conflicts with concurrent SIREAD holders, and applies the
-// First-Committer-Wins check. On failure the transaction is aborted.
-func (tx *Txn) writeLockAndCheck(tb *table, key []byte, structural bool) (core.TS, error) {
-	ssi := tx.t.Isolation().TracksConflicts()
-	var rivals []*core.Txn
-	var leaf uint32
-	if tx.db.opts.Granularity == GranularityRow {
-		var err error
-		rivals, err = tx.db.locks.AcquireInto(tx.t, lock.RowKey(tb.name, key), lock.Exclusive, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return 0, tx.fail(err)
-		}
-	} else {
-		var err error
-		rivals, leaf, err = tx.lockPagePathWrite(tb, key, structural)
-		if err != nil {
-			return 0, tx.fail(err)
-		}
-	}
-	snap := tx.snapshot()
-	if ssi {
-		if err := tx.markAsWriter(rivals); err != nil {
-			return 0, tx.fail(err)
-		}
-	}
-	// First-Committer-Wins: abort if a version newer than our snapshot
-	// committed. In page mode the unit of versioning is the page.
-	var newest core.TS
-	if tx.db.opts.Granularity == GranularityPage {
-		newest = tb.data.PageNewestCommitTS(leaf)
-	} else {
-		newest = tb.data.NewestCommitTS(key)
-	}
-	if newest > snap {
-		return 0, tx.fail(ErrWriteConflict)
-	}
-	return snap, nil
-}
-
-// gapLocks implements the next-key gap protocol of Figures 3.6/3.7 for the
-// writer side: lock the gap before the successor of key (or the supremum)
-// in the requested mode, looping until the successor is stable. For SSI the
-// rivals are SIREAD gap holders — concurrent predicate readers.
-func (tx *Txn) gapLocks(tb *table, key []byte, mode lock.Mode) error {
-	for {
-		succ, ok := tb.data.Successor(key)
-		gk := lock.SupremumGapKey(tb.name)
-		if ok {
-			gk = lock.GapKey(tb.name, succ)
-		}
-		rivals, err := tx.db.locks.AcquireInto(tx.t, gk, mode, tx.rivals[:0])
-		tx.rivals = rivals[:0]
-		if err != nil {
-			return err
-		}
-		if mode == lock.Exclusive && tx.t.Isolation().TracksConflicts() {
-			if err := tx.markAsWriter(rivals); err != nil {
-				return err
-			}
-		}
-		succ2, ok2 := tb.data.Successor(key)
-		if ok == ok2 && (!ok || bytes.Equal(succ, succ2)) {
-			return nil
-		}
-	}
-}
-
-// lockPagePathWrite plans and acquires page locks for a write in page mode:
-// SIREAD (for SerializableSI) on interior pages, EXCLUSIVE on the leaf, and
-// EXCLUSIVE on the whole path when the write will split the leaf. The plan
-// is re-verified after acquisition because a concurrent split can move the
-// key; extra locks acquired under a stale plan are simply kept.
-func (tx *Txn) lockPagePathWrite(tb *table, key []byte, structural bool) (rivals []*core.Txn, leaf uint32, err error) {
-	ssi := tx.t.Isolation().TracksConflicts()
-	for {
-		path := tb.data.PathPages(key)
-		split := structural && tb.data.InsertWillSplit(key)
-		for i, pg := range path {
-			isLeaf := i == len(path)-1
-			switch {
-			case isLeaf || split:
-				rv, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), lock.Exclusive)
-				if err != nil {
-					return nil, 0, err
-				}
-				rivals = append(rivals, rv...)
-				if split && !isLeaf {
-					// The split will rewrite this interior page: stamp it
-					// so page-level FCW and newer-version checks see the
-					// structural write (the root-page conflicts of §6.1.5).
-					tb.data.AddPageWriter(pg, tx.t)
-				}
-			case ssi:
-				rv, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), lock.SIRead)
-				if err != nil {
-					return nil, 0, err
-				}
-				if err := tx.markAsReader(rv); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
-		path2 := tb.data.PathPages(key)
-		if pagesEqual(path, path2) && split == (structural && tb.data.InsertWillSplit(key)) {
-			return rivals, path[len(path)-1], nil
-		}
-	}
-}
-
-// s2plWriteLock acquires S2PL write locks: the row (or, in page mode,
-// shared interior pages and the exclusive leaf; the whole path exclusively
-// when splitting).
-func (tx *Txn) s2plWriteLock(tb *table, key []byte, structural bool) error {
-	if tx.db.opts.Granularity == GranularityRow {
-		_, err := tx.db.locks.Acquire(tx.t, lock.RowKey(tb.name, key), lock.Exclusive)
-		return err
-	}
-	return tx.lockPagePathS2PL(tb, key, lock.Exclusive, structural)
-}
-
-// lockPagePathS2PL locks a root-to-leaf path for S2PL: interior pages
-// Shared, the leaf in leafMode, everything Exclusive when a split is
-// planned.
-func (tx *Txn) lockPagePathS2PL(tb *table, key []byte, leafMode lock.Mode, structural bool) error {
-	for {
-		path := tb.data.PathPages(key)
-		split := structural && tb.data.InsertWillSplit(key)
-		for i, pg := range path {
-			mode := lock.Shared
-			if i == len(path)-1 {
-				mode = leafMode
-			}
-			if split && leafMode == lock.Exclusive {
-				mode = lock.Exclusive
-			}
-			if _, err := tx.db.locks.Acquire(tx.t, lock.PageKey(tb.name, pg), mode); err != nil {
-				return err
-			}
-		}
-		path2 := tb.data.PathPages(key)
-		if pagesEqual(path, path2) && split == (structural && tb.data.InsertWillSplit(key)) {
-			return nil
-		}
-	}
-}
-
-func pagesEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -719,40 +659,41 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	if from == nil {
 		from = []byte{}
 	}
-
-	var snap core.TS
-	if tx.t.Isolation() == S2PL {
-		snap = math.MaxUint64 // locking read: latest committed
+	c := collector{tx: tx, tb: tb, to: to, limit: limit, keys: tx.lockKeys[:0], writers: tx.rivals[:0]}
+	var readTS core.TS
+	var err error
+	if tx.acc.read == lock.Shared {
+		readTS, err = tx.scanLocked(&c, from)
 	} else {
-		snap = tx.snapshot()
+		readTS = tx.snapshot()
+		err = tx.scanCoupled(&c, from, readTS)
 	}
-
-	items, err := tx.scanLockLoop(tb, snap, from, to, limit)
+	// Hand the (possibly grown) scratch buffers back for the next operation.
+	tx.rivals, tx.lockKeys = c.writers[:0], c.keys[:0]
 	if err != nil {
 		return tx.fail(err)
 	}
 
 	if r := tx.db.opts.Recorder; r != nil {
-		effTo := string(to)
-		if limit > 0 {
-			effTo = items.effectiveTo
-		}
-		r.RecScan(tx.t.ID(), tb.name, string(from), effTo, tx.readStamp(snap))
+		r.RecScan(tx.t.ID(), tb.name, string(from), c.effectiveTo(), readTS)
 	}
 	// Promoted tables identity-write every row the caller was shown (the
 	// scan-shaped half of §2.6.2); keys and values are copied out first —
 	// the write path mutates the tree the scan buffers point into.
 	promote := tx.prog != nil && tx.prog.promoted[tableName]
 	var promoteKeys, promoteVals [][]byte
-	for _, it := range items.items {
-		tx.recRead(tb, it.Key, it.VisibleCreator, tx.readStamp(snap))
-		if it.Found {
-			if promote {
-				promoteKeys = append(promoteKeys, append([]byte(nil), it.Key...))
-				promoteVals = append(promoteVals, append([]byte(nil), it.Value...))
-			}
-			if !fn(it.Key, it.Value) {
-				break
+items:
+	for _, chunk := range c.items {
+		for _, it := range chunk {
+			tx.recRead(tb, it.Key, it.VisibleCreator, readTS)
+			if it.Found {
+				if promote {
+					promoteKeys = append(promoteKeys, append([]byte(nil), it.Key...))
+					promoteVals = append(promoteVals, append([]byte(nil), it.Value...))
+				}
+				if !fn(it.Key, it.Value) {
+					break items
+				}
 			}
 		}
 	}
@@ -764,275 +705,189 @@ func (tx *Txn) scan(tableName string, from, to []byte, limit int, fn func(key, v
 	return nil
 }
 
-// readStamp maps the scan snapshot to the recorder's readTS convention.
-func (tx *Txn) readStamp(snap core.TS) core.TS {
-	if snap == math.MaxUint64 {
-		return tx.db.mgr.Now()
-	}
-	return snap
-}
-
-// scanResult is the outcome of a locked collection pass.
-type scanResult struct {
-	items []mvcc.ScanItem
-	// effectiveTo is the exclusive upper bound the scan actually protected:
-	// `to` for full scans, the boundary key for limited scans, "" when the
-	// protection extends to the end of the table.
-	effectiveTo string
-}
-
-// scanLockLoop collects the range and acquires the per-key and per-gap (or
-// per-page) locks, repeating until a collection pass finds the lock set
-// already complete. The loop closes the window in which a row could be
-// inserted into the range after collection but before its gap was locked;
-// under S2PL the gap locks block such inserts, under SerializableSI they
-// guarantee detection.
-func (tx *Txn) scanLockLoop(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	switch {
-	case tx.t.Isolation().TracksConflicts():
-		if tx.roFast() {
-			// Safe-snapshot read-only fast path: a lock-free snapshot scan,
-			// exactly the plain-SI path. The skips counter accounts one
-			// SIREAD per visited row plus the gap boundary.
-			res := collectRange(tb, tx.t, snap, from, to, limit)
-			tx.db.roSIReadSkips.Add(uint64(len(res.items)) + 1)
-			return res, nil
+// scanCoupled is the snapshot scan. At SSI it takes the SIREAD row and gap
+// (or page) locks one lock-coupled round at a time: the store's flush
+// callback runs while the round's partition latches are still held, so
+// every emitted key is protected before any inserter can run — SIREAD
+// acquisition never blocks, and inserts need the write latch, so each
+// round's slice of the range is protected atomically with being read, and
+// inserts between rounds are caught either by the already-installed gap
+// locks (behind the frontier) or by the resumed merge itself (ahead of it);
+// see mvcc.ScanWith for the full invariant. Conflict marking waits until
+// after the scan, because an unsafe verdict aborts the transaction, which
+// must not happen latched. SI and safe snapshots run the same scan with
+// nothing to lock.
+func (tx *Txn) scanCoupled(c *collector, from []byte, snap core.TS) error {
+	c.mode, c.snap = tx.readLock(), snap
+	if c.mode == 0 {
+		c.tb.data.Scan(tx.t, snap, from, c.add)
+		if tx.acc.safe {
+			// One SIREAD skipped per visited row, plus the gap boundary.
+			tx.db.roSIReadSkips.Add(uint64(c.n) + 1)
 		}
-		return tx.scanSSI(tb, snap, from, to, limit)
-	case tx.t.Isolation() == S2PL:
-		return tx.scanS2PL(tb, snap, from, to, limit)
-	default: // plain SI: lock-free snapshot scan
-		return collectRange(tb, tx.t, snap, from, to, limit), nil
+		return nil
 	}
-}
-
-// scanSSI collects the range and takes its SIREAD row/gap (or page) locks
-// incrementally, one lock-coupled round at a time: the store's flush callback
-// runs while the round's partition latches are still held, so every emitted
-// key is protected before any inserter can run — SIREAD acquisition never
-// blocks, and inserts need the write latch, so each round's slice of the
-// range is protected atomically with being read, and inserts between rounds
-// are caught either by the already-installed gap locks (behind the frontier)
-// or by the resumed merge itself (ahead of it); see mvcc.ScanWith for the
-// full invariant. Conflict marking is deferred to after the scan, because an
-// unsafe verdict aborts the transaction, which must not happen latched.
-//
-// In page mode each round acquires its pages' SIREAD locks *before* reading
-// those pages' committed writer stamps: a concurrent page writer either
-// still holds its exclusive page lock (and surfaces as an acquisition rival)
-// or has committed — and therefore stamped the page — before the stamps are
-// read. Reading stamps at queue time instead would miss a writer that locked
-// the page before the flush and committed before it.
-func (tx *Txn) scanSSI(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	pageMode := tx.db.opts.Granularity == GranularityPage
-
-	var res collectResult
-	res.effectiveTo = string(to)
-	writers := tx.rivals[:0]    // rw-conflict targets, marked post-scan
-	lockKeys := tx.lockKeys[:0] // the current round's SIREAD set
-	var pagesQueued map[uint32]bool
-	var newPages []uint32 // pages queued since the last flush
-	if pageMode {
+	if tx.acc.page {
 		// The descent paths' interior pages (every partition's, since a
 		// merged scan descends them all), as Berkeley DB read-locks them.
-		// Acquire-and-revalidate, like every other page-path lock: the lock
-		// set is complete only once a recomputed path shows no page we do
-		// not already hold, so a split racing the descent cannot move keys
-		// onto a page outside our SIREAD coverage — once a page is held,
+		// The set is complete only once a recomputed descent shows no page
+		// not already held, so a split racing the descent cannot move keys
+		// onto a page outside the SIREAD coverage; once a page is held,
 		// later splits inherit the coverage onto the new page.
-		pagesQueued = map[uint32]bool{}
 		for {
-			changed := false
-			for _, pg := range tb.data.ScanPathPages(from) {
-				if pagesQueued[pg] {
-					continue
-				}
-				pagesQueued[pg] = true
-				newPages = append(newPages, pg)
-				changed = true
-				var err error
-				writers, err = tx.db.locks.AcquireInto(tx.t, lock.PageKey(tb.name, pg), lock.SIRead, writers)
-				if err != nil {
-					tx.rivals, tx.lockKeys = writers[:0], lockKeys[:0]
-					return res, err
-				}
+			for _, pg := range c.tb.data.ScanPathPages(from) {
+				c.queuePage(pg)
 			}
-			if !changed {
+			if len(c.keys) == 0 {
 				break
 			}
-		}
-		// Stamps are read only now that the locks are held (see below).
-		for _, pg := range newPages {
-			writers = append(writers, tb.data.PageNewerWriters(pg, snap)...)
-		}
-		newPages = newPages[:0]
-	}
-
-	found := 0
-	var lastFound []byte
-	queuePage := func(pg uint32) {
-		if !pagesQueued[pg] {
-			pagesQueued[pg] = true
-			lockKeys = append(lockKeys, lock.PageKey(tb.name, pg))
-			newPages = append(newPages, pg)
+			c.flush(false)
 		}
 	}
-	tb.data.ScanWith(tx.t, snap, from, func(it mvcc.ScanItem) bool {
-		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
-		if pastEnd || (limit > 0 && found >= limit) {
-			res.boundaryKey = it.Key
-			res.boundaryPage = it.Page
-			if pageMode {
-				queuePage(it.Page)
-			} else {
-				lockKeys = append(lockKeys, lock.GapKey(tb.name, it.Key))
-			}
-			return false
-		}
-		if pageMode {
-			queuePage(it.Page)
-		} else {
-			lockKeys = append(lockKeys,
-				lock.RowKey(tb.name, it.Key), lock.GapKey(tb.name, it.Key))
-			writers = append(writers, it.NewerWriters...)
-		}
-		res.items = append(res.items, it)
-		if it.Found {
-			found++
-			lastFound = it.Key
-		}
-		return true
-	}, func(exhausted bool) {
-		if exhausted && !pageMode {
-			// The scan ran off the table end: protect the space beyond the
-			// last key too.
-			lockKeys = append(lockKeys, lock.SupremumGapKey(tb.name))
-		}
-		// One lock-table critical section per round, while the round's
-		// latches still exclude inserters from the emitted keys.
-		writers = tx.db.locks.AcquireSIReadBatchInto(tx.t, lockKeys, writers)
-		lockKeys = lockKeys[:0]
-		// Lock-then-read-stamps ordering, per the function comment.
-		for _, pg := range newPages {
-			writers = append(writers, tb.data.PageNewerWriters(pg, snap)...)
-		}
-		newPages = newPages[:0]
-	})
-	// Hand the (possibly grown) scratch buffers back for the next operation;
-	// writers is consumed by markAsReader below before any reuse.
-	tx.rivals = writers[:0]
-	tx.lockKeys = lockKeys[:0]
-	if limit > 0 && found >= limit && lastFound != nil {
-		res.effectiveTo = string(lastFound) + "\x00"
-	}
-
-	if err := tx.markAsReader(writers); err != nil {
-		return res, err
-	}
-	return res, nil
+	c.tb.data.ScanWith(tx.t, snap, from, c.add, c.flush)
+	return tx.markAsReader(c.writers)
 }
 
-// scanS2PL collects the range under blocking shared row and gap locks (or
-// shared page locks). Shared locks can block, so they cannot be taken under
-// the latch; instead collection and locking loop until a pass finds the lock
-// set already complete, which closes the collect-then-lock window.
-func (tx *Txn) scanS2PL(tb *table, snap core.TS, from, to []byte, limit int) (collectResult, error) {
-	pageMode := tx.db.opts.Granularity == GranularityPage
-	locked := make(map[lock.Key]bool)
+// scanLocked is the S2PL scan. Shared locks can block, so they cannot be
+// taken under the partition latches; instead it collects the range, then
+// locks what the collection covers, and repeats until a pass collects
+// exactly the lock set the previous pass acquired — that pass ran wholly
+// under its locks, which closes the collect-then-lock window. Each pass
+// reads everything committed by its start (at the clock plus one); the
+// returned read timestamp is the final pass's clock.
+func (tx *Txn) scanLocked(c *collector, from []byte) (core.TS, error) {
+	c.mode = lock.Shared
+	var held []lock.Key
 	for {
-		res := collectRange(tb, tx.t, snap, from, to, limit)
-		changed := false
-
-		acquire := func(k lock.Key) error {
-			if locked[k] {
-				return nil
+		readTS := tx.db.mgr.Now()
+		c.reset(readTS + 1)
+		if tx.acc.page {
+			for _, pg := range c.tb.data.ScanPathPages(from) {
+				c.queuePage(pg)
 			}
+		}
+		c.tb.data.Scan(tx.t, c.snap, from, c.add)
+		if !c.bounded && !tx.acc.page {
+			c.keys = append(c.keys, lock.SupremumGapKey(c.tb.name))
+		}
+		if slices.Equal(c.keys, held) {
+			return readTS, nil
+		}
+		for _, k := range c.keys {
 			if _, err := tx.db.locks.Acquire(tx.t, k, lock.Shared); err != nil {
-				return err
-			}
-			locked[k] = true
-			changed = true
-			return nil
-		}
-
-		if pageMode {
-			for _, pg := range tb.data.ScanPathPages(from) {
-				if err := acquire(lock.PageKey(tb.name, pg)); err != nil {
-					return res, err
-				}
-			}
-			for _, it := range res.items {
-				if err := acquire(lock.PageKey(tb.name, it.Page)); err != nil {
-					return res, err
-				}
-			}
-			if res.boundaryPage != 0 {
-				if err := acquire(lock.PageKey(tb.name, res.boundaryPage)); err != nil {
-					return res, err
-				}
-			}
-		} else {
-			for _, it := range res.items {
-				if err := acquire(lock.RowKey(tb.name, it.Key)); err != nil {
-					return res, err
-				}
-				if err := acquire(lock.GapKey(tb.name, it.Key)); err != nil {
-					return res, err
-				}
-			}
-			boundary := lock.SupremumGapKey(tb.name)
-			if res.boundaryKey != nil {
-				boundary = lock.GapKey(tb.name, res.boundaryKey)
-			}
-			if err := acquire(boundary); err != nil {
-				return res, err
+				return 0, err
 			}
 		}
-
-		if !changed {
-			return res, nil
-		}
+		held = append(held[:0], c.keys...)
 	}
 }
 
-// collectResult extends scanResult with the gap boundary actually locked.
-type collectResult struct {
-	scanResult
-	boundaryKey  []byte // first key beyond the collection; nil = supremum
-	boundaryPage uint32
+// collector gathers a scan's items: the keys in [from, to) — including keys
+// whose visible state is absent, which still carry conflict information —
+// up to limit visible ones. The first key past them is the gap boundary.
+// A locking scan (mode set) also queues the lock keys that protect what was
+// gathered: each item's row and the gap before it plus the boundary's gap,
+// or in page mode each leaf page once, the boundary's included.
+type collector struct {
+	tx    *Txn
+	tb    *table
+	to    []byte
+	limit int
+	mode  lock.Mode // the scan's read lock; 0 queues nothing
+	snap  core.TS
+
+	items     [][]mvcc.ScanItem // in chunks; see add
+	n         int               // items gathered
+	found     int
+	lastFound []byte
+	bounded   bool // a boundary key ended the scan
+
+	keys     []lock.Key      // lock keys queued since the last flush
+	writers  []*core.Txn     // rw-conflict targets, marked after the scan
+	pages    map[uint32]bool // page mode: pages queued so far
+	newPages []uint32        // page mode: pages whose stamps are unread
 }
 
-// collectRange gathers keys in [from, to) — including keys whose visible
-// state is absent, which still carry conflict information — plus the first
-// key at or beyond the range (the gap boundary), under the table latch. With
-// a positive limit, collection stops after `limit` visible items.
-//
-// effectiveTo is the *claimed* predicate range end (what the result actually
-// depends on), which the recorder reports; the locked boundary may extend
-// further, which is conservative for detection but must not widen the claim.
-func collectRange(tb *table, t *core.Txn, snap core.TS, from, to []byte, limit int) collectResult {
-	var res collectResult
-	res.effectiveTo = string(to)
-	found := 0
-	var lastFound []byte
-	tb.data.Scan(t, snap, from, func(it mvcc.ScanItem) bool {
-		pastEnd := len(to) > 0 && bytes.Compare(it.Key, to) >= 0
-		if pastEnd || (limit > 0 && found >= limit) {
-			res.boundaryKey = it.Key
-			res.boundaryPage = it.Page
-			return false
+// add is the store's scan callback.
+func (c *collector) add(it mvcc.ScanItem) bool {
+	c.bounded = len(c.to) > 0 && bytes.Compare(it.Key, c.to) >= 0 || c.limit > 0 && c.found >= c.limit
+	if c.mode != 0 {
+		switch {
+		case c.tx.acc.page:
+			c.queuePage(it.Page)
+		case c.bounded:
+			c.keys = append(c.keys, lock.GapKey(c.tb.name, it.Key))
+		default:
+			c.keys = append(c.keys, lock.RowKey(c.tb.name, it.Key), lock.GapKey(c.tb.name, it.Key))
+			if c.mode == lock.SIRead {
+				c.writers = append(c.writers, it.NewerWriters...)
+			}
 		}
-		res.items = append(res.items, it)
-		if it.Found {
-			found++
-			lastFound = it.Key
-		}
-		return true
-	})
-	if limit > 0 && found >= limit && lastFound != nil {
-		// The result depends only on [from, lastFound]: claim the smallest
-		// exclusive bound covering it.
-		res.effectiveTo = string(lastFound) + "\x00"
 	}
-	return res
+	if c.bounded {
+		return false
+	}
+	// The store calls add with the round's partition latches held, so it
+	// starts a new chunk rather than growing one slice: a growing slice
+	// would copy every item gathered so far, and allocate in proportion,
+	// while writers wait on the latches.
+	if k := len(c.items); k == 0 || len(c.items[k-1]) == cap(c.items[k-1]) {
+		c.items = append(c.items, make([]mvcc.ScanItem, 0, 4<<min(2*k, 6)))
+	}
+	c.items[len(c.items)-1] = append(c.items[len(c.items)-1], it)
+	c.n++
+	if it.Found {
+		c.found++
+		c.lastFound = it.Key
+	}
+	return true
+}
+
+func (c *collector) queuePage(pg uint32) {
+	if c.pages == nil {
+		c.pages = map[uint32]bool{}
+	}
+	if !c.pages[pg] {
+		c.pages[pg] = true
+		c.keys = append(c.keys, lock.PageKey(c.tb.name, pg))
+		c.newPages = append(c.newPages, pg)
+	}
+}
+
+// flush takes the queued SIREAD locks in one lock-table critical section,
+// then reads the newly locked pages' committed writer stamps — only now, so
+// a concurrent page writer either still holds its exclusive page lock (and
+// is a rival) or has committed and stamped the page. exhausted reports that
+// the scan ran off the table's end, whose gap (the supremum) is protected
+// too.
+func (c *collector) flush(exhausted bool) {
+	if exhausted && !c.tx.acc.page {
+		c.keys = append(c.keys, lock.SupremumGapKey(c.tb.name))
+	}
+	c.writers = c.tx.db.locks.AcquireSIReadBatchInto(c.tx.t, c.keys, c.writers)
+	c.keys = c.keys[:0]
+	for _, pg := range c.newPages {
+		c.writers = append(c.writers, c.tb.data.PageNewerWriters(pg, c.snap)...)
+	}
+	c.newPages = c.newPages[:0]
+}
+
+// reset empties the collector for another pass reading at snap.
+func (c *collector) reset(snap core.TS) {
+	c.snap = snap
+	c.items, c.keys, c.newPages = c.items[:0], c.keys[:0], c.newPages[:0]
+	c.n, c.found, c.lastFound, c.bounded = 0, 0, nil, false
+	clear(c.pages)
+}
+
+// effectiveTo is the claimed predicate range end, which the recorder
+// reports: what the result depends on. A limited scan that filled its limit
+// depends only on [from, lastFound], so it claims the smallest exclusive
+// bound covering that; the locked boundary may extend further, which is
+// conservative for detection but must not widen the claim.
+func (c *collector) effectiveTo() string {
+	if c.limit > 0 && c.found >= c.limit && c.lastFound != nil {
+		return string(c.lastFound) + "\x00"
+	}
+	return string(c.to)
 }
